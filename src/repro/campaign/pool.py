@@ -1,17 +1,16 @@
-"""Persistent crash-isolated workers for small-schedule bursts.
+"""Persistent crash-isolated workers: the one campaign executor.
 
-The per-run-process model of :mod:`repro.campaign.runner` is the right
-shape for long schedules: one interpreter per run, nothing shared, a
-watchdog per process.  The fuzz loop inverts the workload — hundreds of
-runs of a few simulated milliseconds each — and there the per-run process
-spawn plus module imports dominate wall clock.  This module keeps the
+Campaigns, fuzz sessions and single-run replays all execute here.  Most
+runs are a few simulated milliseconds long, so a process spawn plus
+module imports per run would dominate wall clock; instead each worker is
+a long-lived subprocess that runs task after task while keeping the
 crash-isolation contract (a wedged or crashing run becomes a HUNG/CRASHED
-payload, never the death of the batch) while amortizing process startup
-and machine construction across consecutive runs in one worker:
+payload, never the death of the batch):
 
-* each worker is a long-lived subprocess holding a
-  :class:`~repro.core.machine.MachineFactory`, so consecutive runs whose
-  shape parameters match share topology construction;
+* each worker holds a :class:`~repro.core.machine.MachineFactory`, so
+  consecutive runs whose shape parameters match share topology
+  construction, and it reclaims each finished run's machine before the
+  next one starts, so a long-lived worker stays as small as a fresh one;
 * the pool tracks one in-flight task per worker; a watchdog kills and
   respawns the whole worker when a task exceeds its wall-clock budget, so
   one wedged schedule costs one worker restart, not the batch;
@@ -20,8 +19,8 @@ and machine construction across consecutive runs in one worker:
 
 Determinism is untouched: a run executes the same
 :func:`~repro.core.experiment.run_schedule_experiment` with the same
-(schedule, seed) regardless of which worker picks it up, and a directed
-test proves factory-reused and fresh machines produce bit-identical
+(schedule, seed) regardless of which worker picks it up, and directed
+tests prove factory-reused and fresh machines produce bit-identical
 records.
 """
 
@@ -30,45 +29,39 @@ records.
 # clock around crash-isolated workers; nothing here runs under the event
 # scheduler.
 
+import gc
 import multiprocessing
 import queue as queue_module
 import time
 
 from repro.campaign.records import RunStatus
 
-#: flight-ring capacity for ``telemetry_mode="flight"`` workers — deep
-#: enough to hold a recovery episode's tail, cheap enough to be always-on
-FLIGHT_CAPACITY = 20_000
-
 #: newest events a dumped flight window keeps in the run record (the full
 #: ring still feeds in-process forensics; the record stays one JSONL line)
 FLIGHT_DUMP_EVENTS = 2_000
 
-#: stray protocol messages after which a flight worker dumps its window
+#: stray protocol messages after which a worker dumps its flight window
 #: even on a PASS verdict — a stray storm is evidence worth keeping
 STRAY_DUMP_THRESHOLD = 5
 
 
 def _attach_flight(payload, telemetry):
     """Attach the flight recorder's tail window to a worker payload."""
-    recorder = None if telemetry is None else telemetry.recorder
-    if recorder is not None and hasattr(recorder, "dump"):
-        payload["flight"] = recorder.dump(limit=FLIGHT_DUMP_EVENTS)
+    if telemetry is not None:
+        payload["flight"] = telemetry.recorder.dump(limit=FLIGHT_DUMP_EVENTS)
     return payload
 
 
 def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
-                          l2_size, factory=None, coverage=False,
-                          telemetry_mode="trace"):
+                          l2_size, factory=None, coverage=False):
     """Run one (schedule, seed) to a payload dict; never raises.
 
-    The shared body of the per-run campaign worker and the batch workers.
-    With ``coverage=True`` the payload additionally carries the fuzzer's
-    per-run coverage summary (feature strings + containment times).
-    ``telemetry_mode="flight"`` swaps the full (head-capped) trace for an
-    always-on :class:`~repro.telemetry.flight.FlightRecorder` ring — the
-    cheap mode for very large sweeps; a FAIL/HUNG/CRASHED verdict (or a
-    stray-message storm) then dumps the tail window into the payload.
+    The body of every batch-worker task.  With ``coverage=True`` the
+    payload additionally carries the fuzzer's per-run coverage summary
+    (feature strings + containment times).  The run records into an
+    always-on :class:`~repro.telemetry.flight.FlightRecorder` ring; a
+    FAIL/HUNG/CRASHED verdict (or a stray-message storm) dumps its tail
+    window into the payload.
     """
     started = time.monotonic()
     telemetry = None
@@ -78,6 +71,7 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         from repro.core.experiment import run_schedule_experiment
         from repro.core.machine import FlashMachine
         from repro.telemetry import Telemetry
+        from repro.telemetry.flight import DEFAULT_CAPACITY
         from repro.telemetry.forensics import forensic_summary
         schedule = FaultSchedule.from_dict(schedule_dict)
         config = MachineConfig(
@@ -85,13 +79,8 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
             mem_per_node=mem_per_node, l2_size=l2_size, seed=seed)
         # A recorder is attached to every campaign run (bit-identical to
         # untraced by the §9 contract) so a FAIL verdict arrives with its
-        # forensic story attached instead of needing a re-run to diagnose:
-        # the full head-capped trace by default, the last-N flight ring in
-        # flight mode.
-        if telemetry_mode == "flight":
-            telemetry = Telemetry(trace=False, flight=FLIGHT_CAPACITY)
-        else:
-            telemetry = Telemetry(max_events=200_000)
+        # forensic story attached instead of needing a re-run to diagnose.
+        telemetry = Telemetry(flight=DEFAULT_CAPACITY)
         if factory is not None:
             machine = factory.build(config, telemetry=telemetry)
         else:
@@ -112,11 +101,10 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         }
         if not result.passed:
             payload["forensics"] = forensic_summary(telemetry.recorder)
-        if telemetry_mode == "flight":
-            strays = sum(node.magic.stats.stray_messages
-                         for node in machine.nodes)
-            if not result.passed or strays >= STRAY_DUMP_THRESHOLD:
-                _attach_flight(payload, telemetry)
+        strays = sum(node.magic.stats.stray_messages
+                     for node in machine.nodes)
+        if not result.passed or strays >= STRAY_DUMP_THRESHOLD:
+            _attach_flight(payload, telemetry)
         if coverage:
             from repro.fuzz.coverage import run_coverage
             payload["coverage"] = run_coverage(machine, result,
@@ -141,8 +129,19 @@ def _execute_schedule_run(schedule_dict, seed, run_limit, mem_per_node,
         }, telemetry)
 
 
+def _reclaim():
+    """Free the finished run's machine before the next task starts.
+
+    A machine's components reference each other in cycles, so dropping the
+    last reference leaves it to the cyclic collector, which a long-lived
+    worker may not run for several tasks — each dead machine meanwhile
+    adds to the worker's peak memory.
+    """
+    gc.collect()
+
+
 def _batch_worker(task_queue, result_queue, worker_id, run_limit,
-                  mem_per_node, l2_size, coverage, telemetry_mode):
+                  mem_per_node, l2_size, coverage):
     """Long-lived worker loop: one task at a time until the None sentinel.
 
     The factory lives for the worker's whole life, which is exactly the
@@ -160,22 +159,22 @@ def _batch_worker(task_queue, result_queue, worker_id, run_limit,
         run_index, schedule_dict, seed = task
         payload = _execute_schedule_run(
             schedule_dict, seed, run_limit, mem_per_node, l2_size,
-            factory=factory, coverage=coverage,
-            telemetry_mode=telemetry_mode)
+            factory=factory, coverage=coverage)
         result_queue.put((worker_id, run_index, payload))
+        _reclaim()
 
 
 class _Worker:
     """One pool slot: a subprocess plus its private task queue."""
 
     def __init__(self, worker_id, result_queue, run_limit, mem_per_node,
-                 l2_size, coverage, telemetry_mode):
+                 l2_size, coverage):
         self.worker_id = worker_id
         self.task_queue = multiprocessing.Queue()
         self.process = multiprocessing.Process(
             target=_batch_worker,
             args=(self.task_queue, result_queue, worker_id, run_limit,
-                  mem_per_node, l2_size, coverage, telemetry_mode),
+                  mem_per_node, l2_size, coverage),
             daemon=True)
         self.process.start()
         self.task = None          # (run_index, schedule_dict, seed)
@@ -194,15 +193,13 @@ class BatchWorkerPool:
     """
 
     def __init__(self, jobs=1, timeout_s=300.0, run_limit=60_000_000_000,
-                 mem_per_node=64 << 10, l2_size=8 << 10, coverage=False,
-                 telemetry_mode="trace"):
+                 mem_per_node=64 << 10, l2_size=8 << 10, coverage=False):
         self.jobs = max(1, jobs)
         self.timeout_s = timeout_s
         self.run_limit = run_limit
         self.mem_per_node = mem_per_node
         self.l2_size = l2_size
         self.coverage = coverage
-        self.telemetry_mode = telemetry_mode
         self.result_queue = multiprocessing.Queue()
         self._next_worker_id = 0
         self.workers = [self._spawn() for _ in range(self.jobs)]
@@ -210,7 +207,7 @@ class BatchWorkerPool:
     def _spawn(self):
         worker = _Worker(self._next_worker_id, self.result_queue,
                          self.run_limit, self.mem_per_node, self.l2_size,
-                         self.coverage, self.telemetry_mode)
+                         self.coverage)
         self._next_worker_id += 1
         return worker
 

@@ -1,15 +1,16 @@
 """Crash-isolated campaign runner.
 
-Every run executes in its own ``multiprocessing`` worker with a wall-clock
-watchdog, so a simulator bug found by an aggressive schedule — a Python
-crash, an infinite event loop, a drained event heap — is *data* (a
-``CRASHED``/``HUNG`` record) rather than the death of the whole batch.
+Runs execute in the persistent workers of
+:class:`~repro.campaign.pool.BatchWorkerPool`, each task under a
+wall-clock watchdog, so a simulator bug found by an aggressive schedule —
+a Python crash, an infinite event loop, a drained event heap — is *data*
+(a ``CRASHED``/``HUNG`` record) rather than the death of the whole batch.
 
 Determinism and resume:
 
 * per-run seeds derive from the campaign seed via BLAKE2b
   (:func:`derive_run_seed`), so run *i* of campaign seed *s* is the same
-  experiment on every machine and every re-run;
+  experiment on every machine and every re-run, whichever worker runs it;
 * each finished run appends one JSONL record
   (:mod:`repro.campaign.records`); re-running the same campaign against an
   existing results file skips the already-recorded run indices.
@@ -21,11 +22,10 @@ Determinism and resume:
 
 import dataclasses
 import hashlib
-import multiprocessing
-import queue as queue_module
 import random
 import time
 
+from repro.campaign.pool import BatchWorkerPool
 from repro.campaign.records import (
     RunRecord,
     RunStatus,
@@ -43,22 +43,6 @@ def derive_run_seed(campaign_seed, run_index):
         ("%d:%d" % (campaign_seed, run_index)).encode("ascii"),
         digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
-
-
-def _campaign_worker(result_queue, schedule_dict, seed, run_limit,
-                     mem_per_node, l2_size, telemetry_mode="trace"):
-    """Subprocess entry point: run one schedule, report via the queue.
-
-    The run body itself lives in :mod:`repro.campaign.pool` so the
-    per-run workers here and the persistent batch workers there execute
-    byte-for-byte the same experiment.
-    """
-    import warnings
-    warnings.simplefilter("ignore")   # skipped-injection warnings are data
-    from repro.campaign.pool import _execute_schedule_run
-    result_queue.put(_execute_schedule_run(
-        schedule_dict, seed, run_limit, mem_per_node, l2_size,
-        telemetry_mode=telemetry_mode))
 
 
 @dataclasses.dataclass
@@ -101,21 +85,11 @@ class CampaignSummary:
 
 @dataclasses.dataclass
 class _PlannedRun:
-    """The identity of a pooled run (no process of its own to track)."""
+    """The identity of a submitted run: what its record is built from."""
 
     run_index: int
     seed: int
     schedule: FaultSchedule
-
-
-@dataclasses.dataclass
-class _ActiveRun:
-    run_index: int
-    seed: int
-    schedule: FaultSchedule
-    process: multiprocessing.Process
-    queue: object
-    started: float
 
 
 class CampaignRunner:
@@ -130,8 +104,7 @@ class CampaignRunner:
     def __init__(self, kind="random-multi", runs=50, campaign_seed=0,
                  num_nodes=8, topology="mesh", schedule=None, out_path=None,
                  timeout_s=300.0, run_limit=60_000_000_000, jobs=1,
-                 mem_per_node=64 << 10, l2_size=8 << 10, progress=None,
-                 reuse_machines=False, telemetry_mode="trace"):
+                 mem_per_node=64 << 10, l2_size=8 << 10, progress=None):
         self.kind = kind
         self.runs = runs
         self.campaign_seed = campaign_seed
@@ -148,14 +121,6 @@ class CampaignRunner:
         self.mem_per_node = mem_per_node
         self.l2_size = l2_size
         self.progress = progress
-        #: route runs through persistent batch workers
-        #: (:class:`repro.campaign.pool.BatchWorkerPool`) instead of one
-        #: process per run — same records, amortized startup.
-        self.reuse_machines = reuse_machines
-        #: "trace" (full head-capped trace per run) or "flight" (tracing
-        #: off, always-on last-N flight ring dumped on failures) — the
-        #: cheap mode for very large sweeps.
-        self.telemetry_mode = telemetry_mode
 
     # ------------------------------------------------------------ scheduling
 
@@ -201,57 +166,13 @@ class CampaignRunner:
                     records[record.run_index] = record
         pending = [index for index in range(self.runs)
                    if index not in records]
-
-        if self.reuse_machines:
-            return self._run_pooled(records, pending)
-
-        status = self._status_writer()
-        counts = self._counts_of(records)
-        active = []
-        while pending or active:
-            while pending and len(active) < self.jobs:
-                active.append(self._launch(pending.pop(0)))
-            time.sleep(0.02)
-            still_running = []
-            for run in active:
-                record = self._poll(run)
-                if record is None:
-                    still_running.append(run)
-                    continue
-                records[record.run_index] = record
-                counts[record.status.value] = \
-                    counts.get(record.status.value, 0) + 1
-                if self.out_path:
-                    append_record(self.out_path, record)
-                if self.progress is not None:
-                    self.progress(record)
-            active = still_running
-            if status is not None:
-                now = time.monotonic()
-                status.update(
-                    done=len(records), counts=counts,
-                    in_flight=[{"run_index": run.run_index,
-                                "elapsed_s": round(now - run.started, 2)}
-                               for run in active])
-        if status is not None:
-            status.update(done=len(records), counts=counts, finished=True,
-                          force=True)
-
-        ordered = [records[index] for index in sorted(records)]
-        return CampaignSummary.from_records(ordered)
-
-    def _run_pooled(self, records, pending):
-        """Pooled driving loop: persistent workers, same records out."""
-        from repro.campaign.pool import BatchWorkerPool
         plans = {}
         status = self._status_writer()
         counts = self._counts_of(records)
         with BatchWorkerPool(jobs=self.jobs, timeout_s=self.timeout_s,
                              run_limit=self.run_limit,
                              mem_per_node=self.mem_per_node,
-                             l2_size=self.l2_size,
-                             telemetry_mode=self.telemetry_mode) as pool:
-            pending = list(pending)
+                             l2_size=self.l2_size) as pool:
             outstanding = 0
             while pending or outstanding:
                 while pending and pool.idle_count():
@@ -288,52 +209,6 @@ class CampaignRunner:
         ordered = [records[index] for index in sorted(records)]
         return CampaignSummary.from_records(ordered)
 
-    def _launch(self, run_index):
-        seed, schedule = self.plan_run(run_index)
-        return self._launch_with(run_index, seed, schedule)
-
-    def _launch_with(self, run_index, seed, schedule):
-        result_queue = multiprocessing.Queue()
-        process = multiprocessing.Process(
-            target=_campaign_worker,
-            args=(result_queue, schedule.to_dict(), seed, self.run_limit,
-                  self.mem_per_node, self.l2_size, self.telemetry_mode),
-            daemon=True)
-        process.start()
-        return _ActiveRun(run_index=run_index, seed=seed, schedule=schedule,
-                          process=process, queue=result_queue,
-                          started=time.monotonic())
-
-    def _poll(self, run):
-        """Returns the finished RunRecord, or None if still running."""
-        elapsed = time.monotonic() - run.started
-        if run.process.is_alive():
-            if elapsed < self.timeout_s:
-                return None
-            # Watchdog: terminate (then kill) the wedged worker.
-            run.process.terminate()
-            run.process.join(5.0)
-            if run.process.is_alive():
-                run.process.kill()
-                run.process.join(5.0)
-            return self._record(run, {
-                "status": RunStatus.HUNG.value,
-                "error": ("watchdog: run exceeded %.0fs wall clock"
-                          % self.timeout_s),
-                "elapsed_s": elapsed,
-            })
-        run.process.join()
-        try:
-            payload = run.queue.get(timeout=2.0)
-        except queue_module.Empty:
-            payload = {
-                "status": RunStatus.CRASHED.value,
-                "error": ("worker died without reporting (exitcode %s)"
-                          % run.process.exitcode),
-                "elapsed_s": elapsed,
-            }
-        return self._record(run, payload)
-
     def _record(self, run, payload):
         return RunRecord(
             run_index=run.run_index,
@@ -360,15 +235,13 @@ def run_schedule_isolated(schedule, seed, timeout_s=300.0,
     the failing run's own, not derived, so the reproduction is exact.
     Returns a :class:`~repro.campaign.records.RunRecord`.
     """
-    runner = CampaignRunner(schedule=schedule, runs=1, timeout_s=timeout_s,
-                            run_limit=run_limit, mem_per_node=mem_per_node,
-                            l2_size=l2_size)
-    run = runner._launch_with(0, seed, schedule)
-    while True:
-        record = runner._poll(run)
-        if record is not None:
-            return record
-        time.sleep(0.02)
+    # A fixed schedule uses the campaign seed literally (plan_run), so a
+    # one-run campaign on a one-worker pool is exactly this run.
+    runner = CampaignRunner(schedule=schedule, runs=1, campaign_seed=seed,
+                            timeout_s=timeout_s, run_limit=run_limit,
+                            mem_per_node=mem_per_node, l2_size=l2_size)
+    (record,) = runner.run().records
+    return record
 
 
 def resume_info(out_path, runs):

@@ -144,7 +144,7 @@ def cmd_campaign(args):
         schedule=fixed_schedule, out_path=out_path,
         timeout_s=args.timeout, jobs=args.jobs,
         mem_per_node=args.mem_kb << 10, l2_size=args.l2_kb << 10,
-        progress=progress, telemetry_mode=args.telemetry)
+        progress=progress)
     summary = runner.run()
     forensics_path = None
     failing_forensics = [
@@ -292,7 +292,7 @@ def cmd_trace(args):
     from repro.telemetry import Telemetry, build_timelines, write_chrome_trace
     from repro.telemetry.timeline import format_timeline
 
-    telemetry = Telemetry(max_events=args.max_events)
+    telemetry = Telemetry(flight=args.flight)
     config = MachineConfig(
         num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
         l2_size=args.l2_kb << 10, seed=args.seed)
@@ -322,9 +322,9 @@ def cmd_trace(args):
     print("%d events (%d dropped) -> %s"
           % (len(events), recorder.dropped_events, args.out))
     if recorder.dropped_events:
-        print("WARNING: trace truncated — %d event(s) past the "
-              "--max-events cap were dropped; timelines and the Chrome "
-              "export miss the run's tail" % recorder.dropped_events,
+        print("WARNING: trace truncated — the %d oldest event(s) were "
+              "dropped to keep the newest --max-events; timelines and the "
+              "Chrome export miss the run's start" % recorder.dropped_events,
               file=sys.stderr)
     return 0 if result.passed else 1
 
@@ -333,7 +333,7 @@ def cmd_forensics(args):
     from repro.telemetry import Telemetry
     from repro.telemetry.forensics import analyze, format_forensics
 
-    telemetry = Telemetry(max_events=args.max_events)
+    telemetry = Telemetry(flight=args.flight)
     config = MachineConfig(
         num_nodes=args.nodes_count, mem_per_node=args.mem_kb << 10,
         l2_size=args.l2_kb << 10, seed=args.seed,
@@ -768,12 +768,6 @@ def build_parser():
     p_camp.add_argument("--summary-json", action="store_true",
                         help="print one machine-readable JSON summary "
                              "line instead of the human report")
-    p_camp.add_argument("--telemetry", default="trace",
-                        choices=["trace", "flight"],
-                        help="'flight': tracing off, an always-on "
-                             "last-N flight ring per run, dumped into "
-                             "the record on failures and stray-message "
-                             "storms (the cheap mode for large sweeps)")
     p_camp.set_defaults(func=cmd_campaign)
 
     p_fuzz = sub.add_parser(
@@ -829,7 +823,9 @@ def build_parser():
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace_event JSON output path")
     p_trace.add_argument("--max-events", type=int, default=None,
-                         help="cap on recorded events (memory bound)")
+                         dest="flight", metavar="N",
+                         help="keep only the newest N events (memory "
+                              "bound; default: the whole trace)")
     p_trace.add_argument("--episode", type=int, default=None, metavar="N",
                          help="export only recovery episode N's events "
                               "(0-based; uses the episode timeline window)")
@@ -849,7 +845,9 @@ def build_parser():
     p_forensics.add_argument("--dwell", type=float, default=None)
     p_forensics.add_argument("--drop-rate", type=float, default=None)
     p_forensics.add_argument("--max-events", type=int, default=None,
-                             help="cap on recorded events (memory bound)")
+                             dest="flight", metavar="N",
+                             help="keep only the newest N events (memory "
+                                  "bound; default: the whole trace)")
     p_forensics.add_argument("--no-firewall", action="store_true",
                              help="disable the §3.3 firewall: the audit "
                                   "should then observe the escape the "

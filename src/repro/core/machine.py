@@ -15,6 +15,7 @@ from repro.core.config import MachineConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.oracle import Oracle
 from repro.interconnect.network import Network
+from repro.interconnect.packet import reset_uids
 from repro.interconnect.topology import make_topology
 from repro.node.memory import AddressMap
 from repro.node.node import Node
@@ -30,6 +31,7 @@ class FlashMachine:
         self.config = config or MachineConfig()
         self.params = self.config.params
         self.sim = Simulator(seed=self.config.seed)
+        reset_uids()
         # A prebuilt topology may be shared across machines (it is pure
         # shape: adjacency and routing ports, no run state) — the batch
         # worker pool reuses one per (kind, num_nodes) to amortize

@@ -65,11 +65,11 @@ def _protocol_features(metrics):
     return features
 
 
-def _phase_features(recorder):
+def _phase_features(events):
     features = set()
     last_by_node = {}
     previous = None     # (node, phase) of the last enter machine-wide
-    for event in recorder.events:
+    for event in events:
         if event.category == "phase" and event.name == "enter":
             phase = event.data.get("phase")
             epoch = event.data.get("epoch")
@@ -94,12 +94,12 @@ def _phase_features(recorder):
     return features
 
 
-def _dag_depths(recorder):
+def _dag_depths(events):
     """Max causal-DAG depth below each fault.inject event, by eid."""
     from repro.telemetry.forensics import build_dag
-    children, _dangling = build_dag(recorder.events)
+    children, _dangling = build_dag(events)
     depths = {}
-    for event in recorder.events:
+    for event in events:
         if event.category != "fault" or event.name != "inject":
             continue
         if event.eid is None:
@@ -118,11 +118,11 @@ def _dag_depths(recorder):
     return depths
 
 
-def _forensic_features(recorder):
+def _forensic_features(events, dropped_events):
     from repro.telemetry.forensics import analyze
-    report = analyze(recorder)
+    report = analyze(events, dropped_events=dropped_events)
     features = set()
-    depths = _dag_depths(recorder)
+    depths = _dag_depths(events)
     for fault in report.faults:
         features.add("bl|%s|%d|%d" % (
             fault.verdict, bucket(len(fault.blast_nodes)),
@@ -148,8 +148,11 @@ def run_coverage(machine, result, recorder):
             features.add("st|%d" % bucket(stray))
     escape = False
     if recorder is not None:
-        features |= _phase_features(recorder)
-        forensic, verdict = _forensic_features(recorder)
+        # A flight ring builds a new event list on every read: read it once.
+        events = recorder.events
+        features |= _phase_features(events)
+        forensic, verdict = _forensic_features(events,
+                                               recorder.dropped_events)
         features |= forensic
         escape = verdict == "escape"
     drained = sum(node.magic.stats.drained_messages

@@ -21,6 +21,19 @@ ROUTER_CTRL_ACK = "router_ctrl_ack"
 _uid_counter = itertools.count()
 
 
+def reset_uids():
+    """Restart packet numbering at 0.
+
+    Every machine calls this when it is built, so a run's packet uids (and
+    with them its trace and flight dump) depend on the run alone, not on
+    the runs a long-lived worker process executed before it.  Uids only
+    need to be unique within one machine: probe and control replies are
+    matched by uid, and packets never cross machines.
+    """
+    global _uid_counter
+    _uid_counter = itertools.count()
+
+
 def merge_causes(a, b):
     """Combine two causal-parent references (eid, tuple of eids, or None).
 

@@ -21,8 +21,8 @@ The subsystem has four layers, all disabled by default (zero-cost when off):
 
 The observability layer (DESIGN.md §15) builds on the same contract:
 
-* :mod:`repro.telemetry.flight` — the always-on flight recorder, a
-  bounded ring keeping the *last* N events instead of the first N;
+* :mod:`repro.telemetry.flight` — the always-on flight recorder, the
+  one bounded recorder: a ring keeping the *last* N events;
 * :mod:`repro.telemetry.profiler` — per-handler sim-time profiling over
   the event-loop dispatch (attach-only, same ``is not None`` guard);
 * :mod:`repro.telemetry.availability` — per-cell up/degraded/down
@@ -34,85 +34,20 @@ The observability layer (DESIGN.md §15) builds on the same contract:
 recovery-latency-vs-machine-size sweep on top (``repro.cli bench``).
 """
 
-from repro.telemetry.availability import (
-    availability_from_reports,
-    format_availability,
-    merge_availability,
-)
-from repro.telemetry.chrome import to_chrome_trace, write_chrome_trace
-from repro.telemetry.flight import (
-    FlightRecorder,
-    analyze_dump,
-    events_from_dump,
-)
-from repro.telemetry.forensics import (
-    ForensicsReport,
-    analyze,
-    build_dag,
-    forensic_summary,
-    format_forensics,
-)
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    harvest_machine_metrics,
-    summarize_run,
-)
-from repro.telemetry.profiler import SimProfiler, profile_table
-from repro.telemetry.report import aggregate, render_html, write_report
-from repro.telemetry.scalability import (
-    DEFAULT_SIZES,
-    append_bench_history,
-    bench_meta,
-    run_scalability_sweep,
-    scalability_table,
-    sublinear_check,
-    write_bench_json,
-)
-from repro.telemetry.status import (
-    StatusWriter,
-    format_status,
-    read_status,
-    status_sidecar_path,
-)
-from repro.telemetry.timeline import EpisodeTimeline, build_timelines
-from repro.telemetry.trace import NULL_RECORDER, Telemetry, TraceEvent, TraceRecorder
+from repro.telemetry.chrome import write_chrome_trace
+from repro.telemetry.forensics import analyze, build_dag, forensic_summary
+from repro.telemetry.status import read_status
+from repro.telemetry.timeline import build_timelines
+from repro.telemetry.trace import NULL_RECORDER, Telemetry, TraceRecorder
 
 __all__ = [
-    "DEFAULT_SIZES",
-    "EpisodeTimeline",
-    "FlightRecorder",
-    "ForensicsReport",
-    "MetricsRegistry",
     "NULL_RECORDER",
-    "SimProfiler",
-    "StatusWriter",
     "Telemetry",
-    "TraceEvent",
     "TraceRecorder",
-    "aggregate",
     "analyze",
-    "analyze_dump",
-    "append_bench_history",
-    "availability_from_reports",
-    "bench_meta",
     "build_dag",
     "build_timelines",
-    "events_from_dump",
     "forensic_summary",
-    "format_availability",
-    "format_forensics",
-    "format_status",
-    "harvest_machine_metrics",
-    "merge_availability",
-    "profile_table",
     "read_status",
-    "render_html",
-    "run_scalability_sweep",
-    "scalability_table",
-    "status_sidecar_path",
-    "sublinear_check",
-    "summarize_run",
-    "to_chrome_trace",
-    "write_bench_json",
-    "write_report",
+    "write_chrome_trace",
 ]

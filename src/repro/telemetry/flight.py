@@ -1,15 +1,13 @@
 """The always-on flight recorder: a bounded ring of the *last* N events.
 
-:class:`~repro.telemetry.trace.TraceRecorder` bounds memory by keeping the
-*first* ``max_events`` events — the right shape for timeline work, where
-the episode structure lives at the front, and the wrong shape for a fleet:
-in a 100k-schedule sweep a failure surfaces at the *end* of a run, exactly
-the window a head-capped trace has already dropped.  The
-:class:`FlightRecorder` inverts the cap: a fixed-capacity ring buffer with
-O(1) append that always holds the most recent events, like an aircraft
-flight recorder.  Campaign and fuzz workers keep one attached even when
-full tracing is off, so an oracle violation, a worker crash or a stray
-message storm always arrives with its tail window of evidence.
+:class:`~repro.telemetry.trace.TraceRecorder` keeps every event, which is
+unbounded.  The :class:`FlightRecorder` is the one bounded recorder: a
+fixed-capacity ring buffer with O(1) append that always holds the most
+recent events, like an aircraft flight recorder — in a long sweep a
+failure surfaces at the *end* of a run, so the newest events are the ones
+worth keeping.  Campaign and fuzz workers keep one attached to every run,
+so an oracle violation, a worker crash or a stray message storm always
+arrives with its tail window of evidence.
 
 Contract notes:
 
@@ -30,15 +28,14 @@ Contract notes:
   the CI overhead gate (``repro.cli bench --micro --flight-overhead``).
 
 ``dropped_events`` counts ring evictions, so the forensics truncation
-caveat (``truncated`` / ``dropped_events``) applies to tail windows
-exactly as it does to head-capped traces.
+caveat (``truncated`` / ``dropped_events``) applies to tail windows.
 """
 
 from repro.telemetry.trace import TraceEvent, TraceRecorder
 
-#: default ring capacity for campaign/fuzz workers — deep enough to hold
-#: a whole recovery episode tail, small enough to be always-on
-DEFAULT_CAPACITY = 20_000
+#: ring capacity of campaign/fuzz workers — deep enough to hold a whole
+#: campaign run, yet bounded so a runaway run cannot exhaust memory
+DEFAULT_CAPACITY = 200_000
 
 
 class FlightRecorder(TraceRecorder):
@@ -59,7 +56,6 @@ class FlightRecorder(TraceRecorder):
                              % (capacity,))
         self._sim = sim
         self.capacity = capacity
-        self.max_events = None
         self.enabled = True
         self.total_emitted = 0
         self.dropped_events = 0      # evictions (oldest overwritten)
@@ -85,13 +81,15 @@ class FlightRecorder(TraceRecorder):
 
     # ------------------------------------------------------------- queries
 
+    def _ordered(self):
+        ring = self._ring
+        head = self._head
+        return ring[head:] + ring[:head] if head else list(ring)
+
     @property
     def events(self):
         """Retained window, oldest first, as :class:`TraceEvent` objects."""
-        ring = self._ring
-        head = self._head
-        ordered = ring[head:] + ring[:head] if head else list(ring)
-        return [TraceEvent(*entry) for entry in ordered]
+        return [TraceEvent(*entry) for entry in self._ordered()]
 
     def __len__(self):
         return len(self._ring)
@@ -111,16 +109,16 @@ class FlightRecorder(TraceRecorder):
         records cap their attached window so a FAIL line stays a line,
         while in-process forensics still sees the whole ring.
         """
-        events = self.events
+        entries = self._ordered()
         clipped = 0
-        if limit is not None and len(events) > limit:
-            clipped = len(events) - limit
-            events = events[-limit:]
+        if limit is not None and len(entries) > limit:
+            clipped = len(entries) - limit
+            entries = entries[-limit:]
         return {
             "capacity": self.capacity,
             "total_emitted": self.total_emitted,
             "evicted": self.dropped_events + clipped,
-            "events": [event.to_dict() for event in events],
+            "events": [TraceEvent(*entry).to_dict() for entry in entries],
         }
 
 

@@ -298,9 +298,8 @@ def forensic_summary(source):
     return {
         "verdict": report.verdict,
         "truncated": report.truncated,
-        # For a head-capped trace: events silently dropped at the tail;
-        # for a flight ring: oldest events evicted.  Either way a
-        # "contained" verdict over a truncated window deserves suspicion.
+        # Oldest events evicted from a flight ring: a "contained"
+        # verdict over a truncated window deserves suspicion.
         "dropped_events": report.dropped_events,
         "analyzed_events": report.total_events,
         "faults": [

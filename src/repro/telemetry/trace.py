@@ -79,16 +79,15 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` objects from instrumented components.
+    """Collects every :class:`TraceEvent` from instrumented components.
 
-    ``max_events`` bounds memory on long runs: once reached, further events
-    are counted in :attr:`dropped_events` instead of stored (the cap keeps
-    the oldest events, which carry the episode structure).
+    The trace is unbounded; :class:`~repro.telemetry.flight.FlightRecorder`
+    is the bounded variant, keeping the newest N events.
+    ``dropped_events`` stays 0 here and counts evictions there.
     """
 
-    def __init__(self, sim=None, max_events=None):
+    def __init__(self, sim=None):
         self._sim = sim
-        self.max_events = max_events
         self.events = []
         self.dropped_events = 0
         self.enabled = True
@@ -107,15 +106,11 @@ class TraceRecorder:
 
         ``cause`` is an optional causal-parent eid (or tuple of eids) as
         returned by a previous ``emit``; forensics reconstructs the causal
-        DAG from these edges.  Events dropped by the cap return None, so
-        downstream edges simply dangle — DAG construction tolerates that.
+        DAG from these edges.
         """
         if not self.enabled:
             return None
         eid = len(self.events)
-        if self.max_events is not None and eid >= self.max_events:
-            self.dropped_events += 1
-            return None
         self.events.append(
             TraceEvent(self.now, category, name, node, data, eid, cause))
         return eid
@@ -164,21 +159,21 @@ NULL_RECORDER = _NullRecorder()
 class Telemetry:
     """The bundle a :class:`~repro.core.machine.FlashMachine` accepts.
 
-    ``Telemetry()`` enables both the event bus and the metrics registry;
-    ``Telemetry(trace=False)`` keeps only metrics (cheap counters harvested
-    at the end of a run, nothing on the hot path);
-    ``Telemetry(trace=False, flight=N)`` attaches a
+    ``Telemetry()`` enables both the event bus (the full trace) and the
+    metrics registry; ``Telemetry(trace=False)`` keeps only metrics (cheap
+    counters harvested at the end of a run, nothing on the hot path);
+    ``Telemetry(flight=N)`` records into a
     :class:`~repro.telemetry.flight.FlightRecorder` instead — a bounded
-    ring keeping the *last* N events (the always-on campaign/fuzz mode:
-    full tracing off, but a failure still arrives with its tail window).
+    ring keeping the *last* N events (what campaign and fuzz workers
+    attach, so a failure always arrives with its tail window).
     """
 
-    def __init__(self, trace=True, max_events=None, flight=None):
+    def __init__(self, trace=True, flight=None):
         if flight is not None:
             from repro.telemetry.flight import FlightRecorder
             self.recorder = FlightRecorder(capacity=flight)
         elif trace:
-            self.recorder = TraceRecorder(max_events=max_events)
+            self.recorder = TraceRecorder()
         else:
             self.recorder = None
         from repro.telemetry.metrics import MetricsRegistry

@@ -80,7 +80,9 @@ class TestTraceCli:
                      "--nodes-count", "4", "--mem-kb", "64", "--l2-kb", "8",
                      "--max-events", "10", "--out", str(out)])
         assert code == 0
-        assert "dropped" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "10 events (" in captured.out
+        assert "oldest" in captured.err
 
     def test_trace_single_episode_export(self, capsys, tmp_path):
         import json

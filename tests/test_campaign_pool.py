@@ -3,17 +3,23 @@
 A pooled worker holds one :class:`~repro.core.machine.MachineFactory`
 for its lifetime and builds every run's machine through it.  That is
 only sound if a machine built from a reused factory behaves
-bit-identically to a fresh one — the directed test here — and if the
-pool's records match the one-process-per-run path byte for byte.
+bit-identically to a fresh one — the directed test here — if a campaign's
+records match fresh in-process runs of the same (schedule, seed), and if
+the worker frees each run's machine before the next one starts.
 """
 
+import gc
 import random
 
-from repro.campaign.pool import BatchWorkerPool, _execute_schedule_run
+from repro.campaign.pool import (
+    BatchWorkerPool,
+    _execute_schedule_run,
+    _reclaim,
+)
 from repro.campaign.records import RunStatus
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.schedule import make_schedule
-from repro.core.machine import MachineFactory
+from repro.core.machine import FlashMachine, MachineFactory
 
 
 def _strip_wall_clock(payload):
@@ -101,20 +107,47 @@ class TestBatchWorkerPool:
         assert results[0][1]["status"] in statuses
 
 
-class TestCampaignRunnerReuse:
-    def test_pooled_campaign_matches_per_process_campaign(self):
-        """reuse_machines=True must change throughput, never records."""
-        def run(reuse):
-            runner = CampaignRunner(
-                kind="random-multi", runs=3, campaign_seed=11,
-                num_nodes=4, jobs=2, timeout_s=120.0,
-                reuse_machines=reuse)
-            records = runner.run().records
-            return [
-                {"run_index": r.run_index, "seed": r.seed,
-                 "status": r.status, "schedule": r.schedule,
-                 "problems": r.problems, "restarts": r.restarts,
-                 "episodes": r.episodes, "metrics": r.metrics,
-                 "forensics": r.forensics}
-                for r in sorted(records, key=lambda r: r.run_index)]
-        assert run(True) == run(False)
+class TestCampaignRunnerRecords:
+    def test_pooled_records_match_fresh_inline_runs(self):
+        """The executor changes throughput, never records: every record of
+        a two-worker campaign equals an in-process run of its planned
+        (schedule, seed) on a fresh machine."""
+        runner = CampaignRunner(kind="random-multi", runs=3,
+                                campaign_seed=11, num_nodes=4, jobs=2,
+                                timeout_s=120.0)
+        records = runner.run().records
+        assert [record.run_index for record in records] == [0, 1, 2]
+        for record in records:
+            seed, schedule = runner.plan_run(record.run_index)
+            payload = _execute_schedule_run(
+                schedule.to_dict(), seed, runner.run_limit,
+                runner.mem_per_node, runner.l2_size)
+            assert (record.seed, record.schedule) == (seed,
+                                                      schedule.to_dict())
+            assert record.status.value == payload["status"]
+            assert record.problems == payload.get("problems", [])
+            assert record.restarts == payload.get("restarts", 0)
+            assert record.episodes == payload.get("episodes", 0)
+            assert record.metrics == payload.get("metrics", {})
+            assert record.forensics == payload.get("forensics", {})
+            assert record.flight == payload.get("flight", {})
+
+
+class TestWorkerReclaim:
+    def test_no_machine_survives_a_finished_task(self):
+        """A long-lived worker must not accumulate dead machines: after a
+        run and the worker's reclaim step, no FlashMachine is left."""
+        def machines():
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, FlashMachine))
+
+        gc.collect()
+        before = machines()
+        factory = MachineFactory()
+        for index, schedule in enumerate(_schedules(2)):
+            _execute_schedule_run(
+                schedule.to_dict(), seed=300 + index,
+                run_limit=60_000_000_000, mem_per_node=64 << 10,
+                l2_size=8 << 10, factory=factory)
+            _reclaim()
+            assert machines() == before

@@ -249,44 +249,19 @@ class TestSimProfiler:
 
 
 class TestWorkerFlightMode:
-    def test_trace_mode_payload_has_no_flight_key(self):
-        payload = _execute_schedule_run(
-            small_schedule().to_dict(), seed=4, run_limit=60_000_000_000,
-            mem_per_node=64 << 10, l2_size=8 << 10)
-        assert "flight" not in payload
-
-    def test_flight_mode_matches_trace_mode_verdict(self):
-        schedule = small_schedule()
-        kwargs = dict(seed=4, run_limit=60_000_000_000,
-                      mem_per_node=64 << 10, l2_size=8 << 10)
-        trace = _execute_schedule_run(schedule.to_dict(), **kwargs)
-        flight = _execute_schedule_run(schedule.to_dict(),
-                                       telemetry_mode="flight", **kwargs)
-        for key in ("status", "problems", "restarts", "episodes"):
-            assert trace[key] == flight[key]
-        assert trace["metrics"] == flight["metrics"]
-
     def test_hung_run_dumps_tail_window(self):
         """A run that blows its event budget aborts with the flight dump
         attached — the always-on crash-evidence contract."""
         payload = _execute_schedule_run(
             small_schedule().to_dict(), seed=4, run_limit=50_000,
-            mem_per_node=64 << 10, l2_size=8 << 10,
-            telemetry_mode="flight")
+            mem_per_node=64 << 10, l2_size=8 << 10)
         assert payload["status"] in ("hung", "crashed")
         dump = payload["flight"]
         assert dump["events"], "tail window must not be empty"
-        assert dump["capacity"] == 20_000
+        assert dump["capacity"] == DEFAULT_CAPACITY
         # The dump is line-JSON-safe and forensics-readable.
         json.dumps(dump)
         analyze_dump(dump)
-
-    def test_hung_trace_mode_has_no_dump(self):
-        payload = _execute_schedule_run(
-            small_schedule().to_dict(), seed=4, run_limit=50_000,
-            mem_per_node=64 << 10, l2_size=8 << 10)
-        assert payload["status"] in ("hung", "crashed")
-        assert "flight" not in payload
 
 
 class TestFlightForensics:

@@ -210,10 +210,10 @@ class TestEscapeAudit:
 
 class TestTruncationDegradesGracefully:
     def test_dropped_events_accounting(self):
-        recorder = TraceRecorder(max_events=2)
+        recorder = Telemetry(flight=2).recorder
         eids = [recorder.emit("pkt", "send", node=0) for _ in range(5)]
-        assert eids == [0, 1, None, None, None]
-        assert len(recorder.events) == 2
+        assert eids == [0, 1, 2, 3, 4]
+        assert [event.eid for event in recorder.events] == [3, 4]
         assert recorder.dropped_events == 3
 
     def test_capped_trace_reports_truncation(self):
@@ -223,10 +223,11 @@ class TestTruncationDegradesGracefully:
         total = len(full.recorder.events)
         inject = [event.eid for event in full.recorder.events
                   if event.key == "fault.inject"]
-        cap = inject[0] + 50
+        # A ring deep enough to reach back just past the injection.
+        cap = total - inject[0] + 50
         assert cap < total
 
-        capped = Telemetry(max_events=cap)
+        capped = Telemetry(flight=cap)
         run_validation_experiment(FaultSpec.node_failure(7), seed=0,
                                   telemetry=capped)
         recorder = capped.recorder
@@ -242,7 +243,7 @@ class TestTruncationDegradesGracefully:
         assert payload["dropped_events"] == total - cap
 
     def test_summary_carries_truncation_flag(self):
-        capped = Telemetry(max_events=1500)
+        capped = Telemetry(flight=1500)
         run_validation_experiment(FaultSpec.node_failure(7), seed=0,
                                   telemetry=capped)
         summary = forensic_summary(capped.recorder)

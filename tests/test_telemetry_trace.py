@@ -47,10 +47,12 @@ class TestTraceRecorder:
         assert len(recorder) == 0
 
     def test_max_events_cap_counts_drops(self):
-        recorder = TraceRecorder(max_events=2)
-        for _ in range(5):
-            recorder.emit("a", "b")
+        # ``--max-events N`` is ``Telemetry(flight=N)``: the newest N kept.
+        recorder = Telemetry(flight=2).recorder
+        for index in range(5):
+            recorder.emit("a", "b", n=index)
         assert len(recorder) == 2
+        assert [event.data["n"] for event in recorder.events] == [3, 4]
         assert recorder.dropped_events == 3
 
     def test_null_recorder_is_inert(self):
